@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{col, collect_set, count => cnt, lit, udf}
 import repro.rdf.TripleStore
 import scala.collection.mutable
@@ -34,19 +34,20 @@ final case class AnswerGraph(cq: ConjunctiveQuery,
   * and cascades burnback in procedural SQL. The dataflow translation
   * here keeps the (small) node sets as driver-side sorted arrays
   * applied as membership filters over the Parquet predicate partitions,
-  * and batches the cascade into semi-join-equivalent steps
-  * (DESIGN.md §3.4):
+  * and runs the whole phase as one semi-join program over one kind of
+  * relation — a query edge or a chord (DESIGN.md §3.4). Its single step
+  * re-reports a set of relations in one Spark action (a `collect_set`
+  * of each endpoint) and intersects every report into the node sets,
+  * which therefore only shrink:
   *
-  *  1. *edge extension* — sequentially, in the Edgifier's cost-chosen
-  *     order, each query edge's matching data edges are aggregated
-  *     (one single-stage `collect_set` action) and its variables' node
-  *     sets shrink to the endpoints actually seen;
-  *  2. *burnback cascade* — fused passes in which every edge with a
-  *     stale view re-reports its supported node sets in one Spark
-  *     action and the driver intersects the reports per variable,
-  *     iterated to a fixpoint. For acyclic CQs this computes the full
-  *     semi-join reduction (Yannakakis); chords are re-materialized
-  *     between passes for cyclic CQs.
+  *  1. *edge extension* — the step applied to one edge at a time, in
+  *     the Edgifier's cost-chosen order; then the chords are
+  *     materialized the same way, in id order;
+  *  2. *burnback cascade* — the step applied to every stale relation at
+  *     once, repeated until a pass shrinks nothing. For acyclic CQs this
+  *     computes the full semi-join reduction (Yannakakis);
+  *  3. *edge burnback* (optional) — pair-level refinement, then the same
+  *     cascade, repeated until the relation counts stop changing.
   *
   * AG edge tables are *virtual*: a predicate scan filtered by the final
   * node sets (plus pair restrictions under edge burnback). That is the
@@ -57,29 +58,58 @@ final case class AnswerGraph(cq: ConjunctiveQuery,
   */
 object AnswerGraphBuilder {
 
+  /** A relation of the semi-join program. Its pair table is filtered by
+    * the node sets of `deps`, and it reports the node sets of its
+    * endpoints `u` and `v`.
+    */
+  private sealed trait Rel { def u: String; def v: String; def deps: Seq[String] }
+  private final case class EdgeRel(e: QueryEdge) extends Rel {
+    def u: String = e.src
+    def v: String = e.dst
+    def deps: Seq[String] = e.vars
+  }
+  private final case class ChordRel(c: Chord) extends Rel {
+    def u: String = c.u
+    def v: String = c.v
+    def deps: Seq[String] = Seq(c.u, c.v) ++ c.triangles.map(_.apex)
+  }
+
   /** Build the answer graph for `cq` following `plan`.
+    *
+    * The burnback cascade repeats until a pass shrinks no node set; edge
+    * burnback repeats refinement and cascade until no relation count
+    * changes. Node sets and pair sets only shrink, and every repetition
+    * that does not stop removes at least one node or pair, so both loops
+    * end without a cap and the result is always a true fixpoint.
+    * `rounds` counts the passes of all cascades, each one's last pass
+    * (which shrinks nothing) included.
     *
     * @param chords       chordification from [[Triangulator]] (cyclic CQs)
     * @param edgeBurnback enable pair-level triangle-consistency pruning
     *                     (recovers the iAG for triangulated cycles; the
     *                     paper's experiments — and our benchmarks — run
     *                     without it)
-    * @param maxRounds    fixpoint-iteration cap for cyclic CQs
     */
   def build(ts: TripleStore, cq: ConjunctiveQuery, plan: Plan,
             chords: Vector[Chord] = Vector.empty,
-            edgeBurnback: Boolean = false,
-            maxRounds: Int = 10): AnswerGraph = {
+            edgeBurnback: Boolean = false): AnswerGraph = {
     require(plan.steps.map(_.edge.id).toSet == cq.edges.map(_.id).toSet,
       s"${cq.name}: plan must cover every query edge exactly once")
+
+    val rels: Vector[Rel] = cq.edges.map(EdgeRel) ++ chords.map(ChordRel)
+    val chordById = chords.map(c => c.id -> c).toMap
+    def rel(s: Side): Rel = s match {
+      case EdgeSide(id, _, _)  => EdgeRel(cq.byId(id))
+      case ChordSide(id, _, _) => ChordRel(chordById(id))
+    }
 
     // Driver-side node sets (the paper's node tables); absent = unbound.
     // Sorted arrays: compact to serialize into task closures, O(log n)
     // membership via binary search.
     val nodeSets = mutable.Map[String, Array[Long]]()
-    // Pair-level restrictions, produced by edge burnback only.
-    val restrict = mutable.Map[Int, DataFrame]()
-    val chordDfs = mutable.Map[Int, DataFrame]()
+    // Materialized pair sets: every chord's, and the query edges' pair
+    // restrictions under edge burnback.
+    val pairs = mutable.Map[Rel, DataFrame]()
 
     /** Filter `df` to rows whose `v` value is in `v`'s node set. */
     def pruneToNodes(df: DataFrame, vs: Seq[String]): DataFrame =
@@ -90,113 +120,45 @@ object AnswerGraphBuilder {
         }
       }
 
-    /** The current (virtual) AG edge table. Column order (src, dst) is
+    /** The relation's current pair table. Column order (u, v) is
       * canonical: downstream intersect/except resolve by position.
       */
-    def edgeDf(e: QueryEdge): DataFrame = {
-      val base = pruneToNodes(ts.byPred(e.pred).toDF(e.src, e.dst), e.vars)
-      restrict.get(e.id).fold(base) { r =>
-        base.join(r, Seq(e.src, e.dst), "left_semi").select(e.src, e.dst)
+    def table(r: Rel): DataFrame = r match {
+      case EdgeRel(e) =>
+        val base = pruneToNodes(ts.byPred(e.pred).toDF(e.src, e.dst), e.vars)
+        pairs.get(r).fold(base)(p => base.join(p, Seq(e.src, e.dst), "left_semi").select(e.src, e.dst))
+      case ChordRel(_) => pairs(r)
+    }
+
+    /** A triangle side's pair table; `None` for a chord not yet
+      * materialized.
+      */
+    def sideDf(s: Side): Option[DataFrame] = rel(s) match {
+      case r: ChordRel => pairs.get(r)
+      case r           => Some(table(r))
+    }
+
+    /** (Re-)materialize chord `c` as the intersection of its triangles'
+      * side joins (paper §4.I).
+      */
+    def materialize(c: Chord): Unit = {
+      val parts = c.triangles.flatMap { t =>
+        for { a <- sideDf(t.sideA); b <- sideDf(t.sideB) }
+          yield a.join(b, Seq(t.apex)).select(c.u, c.v).distinct()
       }
+      require(parts.nonEmpty, s"chord ${c.id} (${c.u},${c.v}) has no computable triangle")
+      pairs(ChordRel(c)) = parts.reduce(_ intersect _).localCheckpoint()
     }
 
     def sizeOf(v: String): Int = nodeSets.get(v).map(_.length).getOrElse(-1)
 
-    /** Per-relation snapshot of the node-set sizes it last saw. Node
-      * sets only shrink, so unchanged sizes mean a re-pull is a no-op.
+    /** For each relation, the sizes of its `deps` as its own last report
+      * left them. Node sets only shrink, so while these sizes hold a
+      * re-report would shrink nothing; once another relation shrinks one
+      * of the sets, the relation is stale.
       */
-    val lastSeen = mutable.Map[(Boolean, Int), Vector[Int]]()
-
-    /** Edge extension / node burnback for one query edge: re-derive its
-      * variables' node sets from its current edge table — one
-      * single-stage action.
-      */
-    def pullEdge(e: QueryEdge): Unit = {
-      val key = (false, e.id)
-      val snap = Vector(sizeOf(e.src), sizeOf(e.dst))
-      if (snap.forall(_ >= 0) && lastSeen.get(key).contains(snap)) return
-      val row = edgeDf(e)
-        .agg(collect_set(col(e.src)) as "su", collect_set(col(e.dst)) as "sv")
-        .head()
-      nodeSets(e.src) = row.getSeq[Long](0).toArray.sorted
-      nodeSets(e.dst) = row.getSeq[Long](1).toArray.sorted
-      lastSeen(key) = Vector(sizeOf(e.src), sizeOf(e.dst))
-    }
-
-    def sideDf(s: Side): Option[DataFrame] = s match {
-      case EdgeSide(id, _, _)  => Some(edgeDf(cq.byId(id)))
-      case ChordSide(id, _, _) => chordDfs.get(id)
-    }
-
-    /** One triangle's candidate pair set for chord `c`: join the two
-      * sides through the apex, projected to the chord's variables.
-      */
-    def triangleJoin(c: Chord, t: Triangle): Option[DataFrame] =
-      for { a <- sideDf(t.sideA); b <- sideDf(t.sideB) }
-        yield a.join(b, Seq(t.apex)).select(c.u, c.v).distinct()
-
-    /** (Re-)materialize chord `c` as the intersection of its triangles'
-      * side joins (paper §4.I) and burn its endpoints back into the
-      * node sets. Skipped when nothing it depends on has shrunk.
-      */
-    def pullChord(c: Chord, force: Boolean = false): Unit = {
-      val key = (true, c.id)
-      def snap() = (Vector(c.u, c.v) ++ c.triangles.map(_.apex)).map(sizeOf)
-      if (!force && chordDfs.contains(c.id) && lastSeen.get(key).contains(snap())) return
-      val parts = c.triangles.flatMap(t => triangleJoin(c, t))
-      require(parts.nonEmpty, s"chord ${c.id} (${c.u},${c.v}) has no computable triangle")
-      val df = parts.reduce(_ intersect _).localCheckpoint()
-      chordDfs(c.id) = df
-      val row = df.agg(collect_set(col(c.u)) as "su", collect_set(col(c.v)) as "sv").head()
-      nodeSets(c.u) = row.getSeq[Long](0).toArray.sorted
-      nodeSets(c.v) = row.getSeq[Long](1).toArray.sorted
-      lastSeen(key) = snap()
-    }
-
-    /** Pair-level pruning (edge burnback): keep only side pairs that
-      * close some triangle instance consistent with the chord.
-      */
-    def triangleRefine(c: Chord, t: Triangle): Unit =
-      (sideDf(t.sideA), sideDf(t.sideB)) match {
-        case (Some(a), Some(b)) =>
-          val tj = a.join(b, Seq(t.apex)).join(chordDfs(c.id), Seq(c.u, c.v))
-            .localCheckpoint()
-          def upd(s: Side): Unit = s match {
-            case EdgeSide(id, _, _) =>
-              val qe = cq.byId(id)
-              restrict(id) = tj.select(qe.src, qe.dst).distinct()
-            case ChordSide(id, _, _) =>
-              val ch = chords.find(_.id == id).get
-              chordDfs(id) = tj.select(ch.u, ch.v).distinct()
-          }
-          upd(t.sideA); upd(t.sideB)
-          chordDfs(c.id) = tj.select(c.u, c.v).distinct()
-        case _ => ()
-      }
-
-    // ---- Edge extension (top-down): bind variables one plan step at a
-    // time; nodes that fail to extend drop out as we go (the batched
-    // form of interleaved node burnback). Sequential on purpose: this is
-    // the cost-planned edge-extension order from the Edgifier.
-    plan.steps.foreach(s => pullEdge(s.edge))
-    // Initial chord materialization in id order (each chord has at least
-    // one triangle whose sides are already available).
-    chords.sortBy(_.id).foreach(c => pullChord(c, force = true))
-
-    /** Count every relation in one Spark action (the |AG| statistics
-      * and the edge-burnback fixpoint test).
-      */
-    def countAll(): Map[(Boolean, Int), Long] = {
-      val parts =
-        cq.edges.map(e => edgeDf(e).groupBy().agg(cnt(lit(1)) as "n")
-          .select(lit(false) as "c", lit(e.id) as "i", col("n"))) ++
-        chords.map(c => chordDfs(c.id).groupBy().agg(cnt(lit(1)) as "n")
-          .select(lit(true) as "c", lit(c.id) as "i", col("n")))
-      parts.reduce(_ unionByName _)
-        .collect()
-        .map(row => (row.getBoolean(0), row.getInt(1)) -> row.getLong(2))
-        .toMap
-    }
+    val seen = mutable.Map[Rel, Seq[Int]]()
+    def stale(r: Rel): Boolean = !seen.get(r).contains(r.deps.map(sizeOf))
 
     /** Merge two sorted arrays by intersection. */
     def intersectSorted(a: Array[Long], b: Array[Long]): Array[Long] = {
@@ -209,93 +171,85 @@ object AnswerGraphBuilder {
       }
       out.result()
     }
+    def shrink(v: String, s: Array[Long]): Array[Long] = nodeSets.get(v).fold(s)(intersectSorted(_, s))
 
-    /** One fused node-burnback pass (the cascade): every edge reports
-      * the node sets it can still support in a single Spark action (all
-      * predicate scans run in parallel); the driver intersects the
-      * reports per variable. Returns whether any node set shrank.
-      * Iterated to a fixpoint this computes the same result as a
-      * relation-at-a-time semi-join program — a full reduction for
-      * acyclic CQs — while costing one action per pass instead of one
-      * per relation.
+    /** One aggregate row per relation, all computed in one Spark action. */
+    def perRel(rs: Seq[Rel])(agg: Rel => DataFrame): Seq[(Rel, Row)] =
+      rs.zipWithIndex
+        .map { case (r, i) => agg(r).select(lit(i) as "i", col("*")) }
+        .reduce(_ unionByName _)
+        .collect()
+        .toSeq
+        .map(row => rs(row.getInt(0)) -> row)
+
+    /** The semi-join step: re-report `rs` in one Spark action (chords
+      * among them are re-materialized first, in id order) and intersect
+      * each report into the node sets. Returns whether any set shrank.
       */
-    def burnbackPass(): Boolean = {
-      // Only edges that saw a node set shrink since their last
-      // aggregation can contribute new pruning; the rest are skipped
-      // (and a pass with nothing stale costs no Spark action at all).
-      val stale = cq.edges.filter { e =>
-        !lastSeen.get((false, e.id)).contains(Vector(sizeOf(e.src), sizeOf(e.dst)))
+    def update(rs: Seq[Rel]): Boolean = rs.nonEmpty && {
+      rs.collect { case ChordRel(c) => c }.sortBy(_.id).foreach(materialize)
+      val reports = perRel(rs) { r =>
+        table(r).agg(collect_set(col(r.u)) as "su", collect_set(col(r.v)) as "sv")
+      }.map { case (r, row) =>
+        r -> Map(r.u -> shrink(r.u, row.getSeq[Long](1).toArray.sorted),
+                 r.v -> shrink(r.v, row.getSeq[Long](2).toArray.sorted))
       }
-      if (stale.isEmpty) return false
-      val parts = stale.map { e =>
-        edgeDf(e)
-          .agg(collect_set(col(e.src)) as "su", collect_set(col(e.dst)) as "sv")
-          .select(lit(e.id) as "id", col("su"), col("sv"))
-      }
-      val rows = parts.reduce(_ unionByName _).collect()
-      val contrib = mutable.Map[String, Array[Long]]()
-      for (row <- rows) {
-        val e = cq.byId(row.getInt(0))
-        for ((v, idx) <- Seq(e.src -> 1, e.dst -> 2)) {
-          val got = row.getSeq[Long](idx).toArray.sorted
-          contrib(v) = contrib.get(v).fold(got)(intersectSorted(_, got))
-        }
-      }
-      var changed = false
-      for ((v, arr) <- contrib) {
-        if (sizeOf(v) != arr.length) changed = true
-        nodeSets(v) = arr
-      }
-      for (e <- stale) lastSeen((false, e.id)) = Vector(sizeOf(e.src), sizeOf(e.dst))
-      changed
-    }
-
-    /** Re-materialize stale chords; returns whether any changed. */
-    def refreshChords(): Boolean = {
+      for ((r, own) <- reports) seen(r) = r.deps.map(w => own.get(w).fold(sizeOf(w))(_.length))
       val before = cq.vars.map(sizeOf)
-      chords.sortBy(_.id).foreach(c => pullChord(c))
+      for ((_, own) <- reports; (v, s) <- own) nodeSets(v) = shrink(v, s)
       before != cq.vars.map(sizeOf)
     }
 
-    // ---- Node burnback cascade to fixpoint (with chord maintenance for
-    // cyclic CQs). Stability of the node sets implies stability of the
-    // (virtual, set-filtered) edge tables, so no tuple counting is
-    // needed to detect the fixpoint.
-    var rounds = 0
-    var changed = true
-    while (changed && rounds < maxRounds) {
-      changed = burnbackPass()
-      if (chords.nonEmpty && refreshChords()) changed = true
-      rounds += 1
+    /** Node burnback to a fixpoint: every pass re-reports the stale
+      * relations. Returns the number of passes, the last included.
+      */
+    def cascade(): Int = {
+      var passes = 1
+      while (update(rels.filter(stale))) passes += 1
+      passes
     }
 
-    var sizes: Map[(Boolean, Int), Long] = null
-    if (edgeBurnback && chords.nonEmpty) {
-      // Pair-level refinement changes edge content without changing node
-      // sets, so this fixpoint is detected on relation counts.
-      var prev: Map[(Boolean, Int), Long] = null
-      var stable = false
-      var r = 0
-      while (!stable && r < maxRounds) {
-        for (c <- chords; t <- c.triangles) triangleRefine(c, t)
-        lastSeen.clear()
-        var ch = true
-        while (ch) { ch = burnbackPass(); if (refreshChords()) ch = true }
-        val cur = countAll()
-        stable = cur == prev
-        prev = cur
-        r += 1
+    /** Pair-level pruning (edge burnback): keep only side pairs that
+      * close some triangle instance consistent with the chord.
+      */
+    def triangleRefine(c: Chord, t: Triangle): Unit =
+      for { a <- sideDf(t.sideA); b <- sideDf(t.sideB) } {
+        val tj = a.join(b, Seq(t.apex)).join(pairs(ChordRel(c)), Seq(c.u, c.v))
+          .localCheckpoint()
+        for (r <- Seq(rel(t.sideA), rel(t.sideB), ChordRel(c)))
+          pairs(r) = tj.select(r.u, r.v).distinct()
       }
-      sizes = prev
-    } else {
+
+    /** Count every relation in one Spark action. */
+    def countAll(): Map[Rel, Long] =
+      perRel(rels)(r => table(r).groupBy().agg(cnt(lit(1)) as "n"))
+        .map { case (r, row) => r -> row.getLong(1) }.toMap
+
+    // Edge extension (top-down) in the Edgifier's cost-planned order:
+    // nodes that fail to extend drop out as we go. Then the chords, in
+    // id order (each has a triangle whose sides are already available).
+    plan.steps.foreach(s => update(Seq(EdgeRel(s.edge))))
+    chords.sortBy(_.id).foreach(c => update(Seq(ChordRel(c))))
+    var rounds = cascade()
+    var sizes = countAll()
+    // Edge burnback changes pair sets without changing node sets: after
+    // each refinement every relation is stale, and the fixpoint is
+    // detected on relation counts (pair sets only shrink).
+    var refining = edgeBurnback && chords.nonEmpty
+    while (refining) {
+      for (c <- chords; t <- c.triangles) triangleRefine(c, t)
+      seen.clear()
+      rounds += cascade()
+      val prev = sizes
       sizes = countAll()
+      refining = sizes != prev
     }
 
     AnswerGraph(
       cq,
-      cq.edges.map(e => e.id -> edgeDf(e)).toMap,
-      chordDfs.toMap,
-      sizes.collect { case ((false, id), n) => id -> n },
+      cq.edges.map(e => e.id -> table(EdgeRel(e))).toMap,
+      chords.map(c => c.id -> pairs(ChordRel(c))).toMap,
+      cq.edges.map(e => e.id -> sizes(EdgeRel(e))).toMap,
       cq.vars.map(v => v -> nodeSets.get(v).map(_.length.toLong).getOrElse(0L)).toMap,
       rounds,
     )

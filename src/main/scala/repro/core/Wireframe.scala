@@ -34,7 +34,7 @@ object Wireframe {
     * the paper's experimental configuration for cyclic queries.
     */
   def run(ts: TripleStore, cq: ConjunctiveQuery, cat: Catalog,
-          edgeBurnback: Boolean = false, maxRounds: Int = 10): WireframeRun = {
+          edgeBurnback: Boolean = false): WireframeRun = {
     val t0 = System.nanoTime()
     val plan   = Edgifier.plan(cq, cat)
     val chords = Triangulator.chords(cq, cat)
@@ -45,7 +45,7 @@ object Wireframe {
     val prevCodegen = spark.conf.get("spark.sql.codegen.wholeStage", "true")
     spark.conf.set("spark.sql.codegen.wholeStage", "false")
     val ag =
-      try AnswerGraphBuilder.build(ts, cq, plan, chords, edgeBurnback, maxRounds)
+      try AnswerGraphBuilder.build(ts, cq, plan, chords, edgeBurnback)
       finally spark.conf.set("spark.sql.codegen.wholeStage", prevCodegen)
     val agSize = ag.size
     val t1 = System.nanoTime()

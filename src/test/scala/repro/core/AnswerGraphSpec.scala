@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.rdf.TripleStore
 import repro.workload.YagoQueries
 
 /** Phase-1 evaluator: edge extension, node burnback, chord maintenance,
@@ -54,6 +55,42 @@ class AnswerGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException](AnswerGraphBuilder.build(ts, cq, partial))
   }
 
+  /** Build with the plan that extends `cq`'s edges in id order. */
+  private def buildInOrder(ts: TripleStore, cq: ConjunctiveQuery): AnswerGraph =
+    AnswerGraphBuilder.build(ts, cq, Plan(cq.edges.map(PlanStep(_, 1.0))))
+
+  test("long path: the cascade runs to the fixpoint, however many passes it takes") {
+    // x0 -L1-> x1 ... -L14-> x14 over two disjoint data paths a0..a14 and
+    // b0..b13; b13 has no L14 edge. Extending in path order finds the
+    // break last, and each pass burns the b path back by one edge.
+    val n = 14
+    val cq = ConjunctiveQuery("path14", (1 to n).toVector.map(i =>
+      QueryEdge(i - 1, s"x${i - 1}", s"L$i", s"x$i")))
+    val a = (1 to n).map(i => (100L + i - 1, s"L$i", 100L + i))
+    val b = (1 until n).map(i => (200L + i - 1, s"L$i", 200L + i))
+    val ag = buildInOrder(TripleStore(spark, a ++ b), cq)
+    assert(ag.size == n)
+    assert(ag.nodeSizes.values.forall(_ == 1), ag.nodeSizes)
+    assert(ag.rounds == n)
+  }
+
+  test("a relation whose node set another shrinks in the same pass is re-reported") {
+    // In the first cascade pass both A and B are stale. B's report drops
+    // 22 from y, which strands 12 in x and with it the D edge 2 -> 12;
+    // only a second report of A finds that.
+    val cq = ConjunctiveQuery("stale", Vector(
+      QueryEdge(0, "x", "A", "y"), QueryEdge(1, "y", "B", "z"),
+      QueryEdge(2, "z", "C", "w"), QueryEdge(3, "v", "D", "x")))
+    val ts = TripleStore(spark, Seq(
+      (11L, "A", 21L), (12L, "A", 22L), (13L, "A", 24L),
+      (21L, "B", 31L), (22L, "B", 32L), (23L, "B", 33L),
+      (31L, "C", 41L),
+      (1L, "D", 11L), (2L, "D", 12L)))
+    val ag = buildInOrder(ts, cq)
+    assert(ag.edgeSizes == Map(0 -> 1L, 1 -> 1L, 2 -> 1L, 3 -> 1L))
+    assert(ag.nodeSizes.values.forall(_ == 1), ag.nodeSizes)
+  }
+
   private def buildDiamond(edgeBurnback: Boolean): AnswerGraph = {
     val ts = Fixtures.diamondData(spark)
     val cq = Fixtures.diamondCq
@@ -86,6 +123,10 @@ class AnswerGraphSpec extends SparkSpec {
       if (cols == Set("a", "d")) Set((1L, 4L), (5L, 8L))
       else Set((2L, 3L), (6L, 7L))
     assert(pairs(chord.select(cols.toSeq.sorted.head, cols.toSeq.sorted.last)) == expected)
+  }
+
+  test("diamond: edge-burnback passes count toward rounds") {
+    assert(buildDiamond(edgeBurnback = true).rounds > buildDiamond(edgeBurnback = false).rounds)
   }
 
   test("diamond: fixpoint converges within the round cap") {
