@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.{col, collect_set, count => cnt, lit, udf}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.functions.{col, lit, udf}
 import repro.rdf.TripleStore
 import scala.collection.mutable
 
@@ -36,9 +37,11 @@ final case class AnswerGraph(cq: ConjunctiveQuery,
   * applied as membership filters over the Parquet predicate partitions,
   * and runs the whole phase as one semi-join program over one kind of
   * relation — a query edge or a chord (DESIGN.md §3.4). Its single step
-  * re-reports a set of relations in one Spark action (a `collect_set`
-  * of each endpoint) and intersects every report into the node sets,
-  * which therefore only shrink:
+  * re-reports a set of relations in one single-stage Spark job: a scan of
+  * the union of their tables in which each partition reports, per
+  * relation, its sorted distinct endpoint values and its row count. The
+  * driver merges the partitions' reports and intersects every report
+  * into the node sets, which therefore only shrink:
   *
   *  1. *edge extension* — the step applied to one edge at a time, in
   *     the Edgifier's cost-chosen order; then the chords are
@@ -48,6 +51,13 @@ final case class AnswerGraph(cq: ConjunctiveQuery,
   *     computes the full semi-join reduction (Yannakakis);
   *  3. *edge burnback* (optional) — pair-level refinement, then the same
   *     cascade, repeated until the relation counts stop changing.
+  *
+  * A relation's size is the row count of its last report. That count is
+  * exact at the fixpoint: no relation is stale there, so the node sets
+  * filtering its table are the ones its own last report left, and
+  * intersecting a relation's own report into its endpoints removes none
+  * of its rows. Pair sets change only in edge burnback's refinement,
+  * after which every relation is reported afresh.
   *
   * AG edge tables are *virtual*: a predicate scan filtered by the final
   * node sets (plus pair restrictions under edge burnback). That is the
@@ -74,7 +84,60 @@ object AnswerGraphBuilder {
     def deps: Seq[String] = Seq(c.u, c.v) ++ c.triangles.map(_.apex)
   }
 
+  /** A relation's report: the sorted distinct values of its endpoints
+    * `u` and `v`, and its row count.
+    */
+  private final case class Report(u: Array[Long], v: Array[Long], rows: Long) {
+    def ++(o: Report): Report = Report(unionSorted(u, o.u), unionSorted(v, o.v), rows + o.rows)
+  }
+
+  private object Report {
+    val empty: Report = Report(Array.emptyLongArray, Array.emptyLongArray, 0L)
+
+    /** One partition's reports over rows `(relation index, u, v)`. */
+    def ofPartition(rows: Iterator[InternalRow]): Iterator[(Int, Report)] = {
+      val cols = mutable.Map[Int, (mutable.ArrayBuilder.ofLong, mutable.ArrayBuilder.ofLong)]()
+      rows.foreach { row =>
+        val (u, v) = cols.getOrElseUpdate(row.getInt(0),
+          (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong))
+        u += row.getLong(1)
+        v += row.getLong(2)
+      }
+      cols.iterator.map { case (i, (u, v)) =>
+        val us = u.result()
+        i -> Report(us.sorted.distinct, v.result().sorted.distinct, us.length.toLong)
+      }
+    }
+  }
+
+  /** Merge two sorted distinct arrays by intersection. */
+  private def intersectSorted(a: Array[Long], b: Array[Long]): Array[Long] = {
+    val out = Array.newBuilder[Long]
+    var i = 0; var j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    out.result()
+  }
+
+  /** Merge two sorted distinct arrays by union. */
+  private def unionSorted(a: Array[Long], b: Array[Long]): Array[Long] = {
+    val out = Array.newBuilder[Long]
+    var i = 0; var j = 0
+    while (i < a.length || j < b.length) {
+      if (j == b.length || (i < a.length && a(i) < b(j))) { out += a(i); i += 1 }
+      else if (i == a.length || b(j) < a(i)) { out += b(j); j += 1 }
+      else { out += a(i); i += 1; j += 1 }
+    }
+    out.result()
+  }
+
   /** Build the answer graph for `cq` following `plan`.
+    *
+    * Edge sizes are the row counts of each edge's last report, exact at
+    * the fixpoint (see [[AnswerGraphBuilder]]), so no count action follows.
     *
     * The burnback cascade repeats until a pass shrinks no node set; edge
     * burnback repeats refinement and cascade until no relation count
@@ -160,39 +223,29 @@ object AnswerGraphBuilder {
     val seen = mutable.Map[Rel, Seq[Int]]()
     def stale(r: Rel): Boolean = !seen.get(r).contains(r.deps.map(sizeOf))
 
-    /** Merge two sorted arrays by intersection. */
-    def intersectSorted(a: Array[Long], b: Array[Long]): Array[Long] = {
-      val out = Array.newBuilder[Long]
-      var i = 0; var j = 0
-      while (i < a.length && j < b.length) {
-        if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
-        else if (a(i) < b(j)) i += 1
-        else j += 1
-      }
-      out.result()
-    }
+    /** Each relation's row count as of its last report. */
+    val sizes = mutable.Map[Rel, Long]()
+
     def shrink(v: String, s: Array[Long]): Array[Long] = nodeSets.get(v).fold(s)(intersectSorted(_, s))
 
-    /** One aggregate row per relation, all computed in one Spark action. */
-    def perRel(rs: Seq[Rel])(agg: Rel => DataFrame): Seq[(Rel, Row)] =
-      rs.zipWithIndex
-        .map { case (r, i) => agg(r).select(lit(i) as "i", col("*")) }
-        .reduce(_ unionByName _)
-        .collect()
-        .toSeq
-        .map(row => rs(row.getInt(0)) -> row)
-
-    /** The semi-join step: re-report `rs` in one Spark action (chords
-      * among them are re-materialized first, in id order) and intersect
-      * each report into the node sets. Returns whether any set shrank.
+    /** The semi-join step: re-report `rs` in one single-stage Spark job
+      * (chords among them are re-materialized first, in id order), record
+      * their sizes and intersect each report into the node sets. Returns
+      * whether any set shrank.
       */
     def update(rs: Seq[Rel]): Boolean = rs.nonEmpty && {
       rs.collect { case ChordRel(c) => c }.sortBy(_.id).foreach(materialize)
-      val reports = perRel(rs) { r =>
-        table(r).agg(collect_set(col(r.u)) as "su", collect_set(col(r.v)) as "sv")
-      }.map { case (r, row) =>
-        r -> Map(r.u -> shrink(r.u, row.getSeq[Long](1).toArray.sorted),
-                 r.v -> shrink(r.v, row.getSeq[Long](2).toArray.sorted))
+      val merged = rs.zipWithIndex
+        .map { case (r, i) => table(r).select(lit(i), col(r.u), col(r.v)) }
+        .reduce(_ union _)
+        .queryExecution.toRdd
+        .mapPartitions(Report.ofPartition)
+        .collect()
+        .groupMapReduce(_._1)(_._2)(_ ++ _)
+      val reports = rs.zipWithIndex.map { case (r, i) =>
+        val rep = merged.getOrElse(i, Report.empty)
+        sizes(r) = rep.rows
+        r -> Map(r.u -> shrink(r.u, rep.u), r.v -> shrink(r.v, rep.v))
       }
       for ((r, own) <- reports) seen(r) = r.deps.map(w => own.get(w).fold(sizeOf(w))(_.length))
       val before = cq.vars.map(sizeOf)
@@ -220,29 +273,22 @@ object AnswerGraphBuilder {
           pairs(r) = tj.select(r.u, r.v).distinct()
       }
 
-    /** Count every relation in one Spark action. */
-    def countAll(): Map[Rel, Long] =
-      perRel(rels)(r => table(r).groupBy().agg(cnt(lit(1)) as "n"))
-        .map { case (r, row) => r -> row.getLong(1) }.toMap
-
     // Edge extension (top-down) in the Edgifier's cost-planned order:
     // nodes that fail to extend drop out as we go. Then the chords, in
     // id order (each has a triangle whose sides are already available).
     plan.steps.foreach(s => update(Seq(EdgeRel(s.edge))))
     chords.sortBy(_.id).foreach(c => update(Seq(ChordRel(c))))
     var rounds = cascade()
-    var sizes = countAll()
     // Edge burnback changes pair sets without changing node sets: after
     // each refinement every relation is stale, and the fixpoint is
     // detected on relation counts (pair sets only shrink).
     var refining = edgeBurnback && chords.nonEmpty
     while (refining) {
+      val prev = sizes.toMap
       for (c <- chords; t <- c.triangles) triangleRefine(c, t)
       seen.clear()
       rounds += cascade()
-      val prev = sizes
-      sizes = countAll()
-      refining = sizes != prev
+      refining = sizes.toMap != prev
     }
 
     AnswerGraph(

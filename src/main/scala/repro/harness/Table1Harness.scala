@@ -30,7 +30,9 @@ object Table1Harness {
     */
   def run(spark: SparkSession, sf: Double, reps: Int, dataDir: String): Seq[Row] = {
     val path = s"$dataDir/yagolite_sf$sf"
-    if (!new java.io.File(path).exists()) {
+    // Reuse only a completed write, which Spark marks with _SUCCESS; an
+    // interrupted one is overwritten.
+    if (!new java.io.File(path, "_SUCCESS").exists()) {
       TripleStore(YagoLite.triples(spark, sf)).writeParquet(path)
     }
     val ts = TripleStore.readParquet(spark, path)

@@ -28,8 +28,9 @@ final case class TripleStore(triples: DataFrame) {
   def createOrReplaceTempView(name: String): Unit =
     triples.createOrReplaceTempView(name)
 
-  /** Persist as Parquet partitioned by predicate and return a store
-    * backed by the on-disk copy (the benchmarked configuration).
+  /** Write the triples to `path` as Parquet partitioned by predicate,
+    * replacing whatever is there (the benchmarked configuration); read
+    * the copy back with [[TripleStore.readParquet]].
     */
   def writeParquet(path: String): Unit =
     triples.write.mode("overwrite").partitionBy("p").parquet(path)

@@ -13,6 +13,13 @@ class AnswerGraphSpec extends SparkSpec {
   private def pairs(df: DataFrame): Set[(Long, Long)] =
     df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
+  /** Every edge size (the count of the edge's last report) equals the
+    * row count of its AG edge table.
+    */
+  private def assertSizesExact(ag: AnswerGraph): Unit =
+    for (e <- ag.cq.edges)
+      assert(ag.edgeSizes(e.id) == ag.edges(e.id).count(), s"${ag.cq.name} edge ${e.id}")
+
   private def buildChain(): AnswerGraph = {
     val ts = Fixtures.chainData(spark)
     val cq = Fixtures.chainCq
@@ -34,6 +41,7 @@ class AnswerGraphSpec extends SparkSpec {
     val ag = buildChain()
     assert(ag.edgeSizes == Map(0 -> 3L, 1 -> 1L, 2 -> 2L))
     assert(ag.size == 6)
+    assertSizesExact(ag)
   }
 
   test("chain: node sets are exactly the embedded nodes") {
@@ -72,6 +80,7 @@ class AnswerGraphSpec extends SparkSpec {
     assert(ag.size == n)
     assert(ag.nodeSizes.values.forall(_ == 1), ag.nodeSizes)
     assert(ag.rounds == n)
+    assertSizesExact(ag)
   }
 
   test("a relation whose node set another shrinks in the same pass is re-reported") {
@@ -89,10 +98,11 @@ class AnswerGraphSpec extends SparkSpec {
     val ag = buildInOrder(ts, cq)
     assert(ag.edgeSizes == Map(0 -> 1L, 1 -> 1L, 2 -> 1L, 3 -> 1L))
     assert(ag.nodeSizes.values.forall(_ == 1), ag.nodeSizes)
+    assertSizesExact(ag)
   }
 
-  private def buildDiamond(edgeBurnback: Boolean): AnswerGraph = {
-    val ts = Fixtures.diamondData(spark)
+  private def buildDiamond(edgeBurnback: Boolean,
+                           ts: TripleStore = Fixtures.diamondData(spark)): AnswerGraph = {
     val cq = Fixtures.diamondCq
     val cat = Catalog.build(ts.triples)
     val chords = Triangulator.chords(cq, cat)
@@ -106,12 +116,14 @@ class AnswerGraphSpec extends SparkSpec {
     assert(pairs(ag.edges(0).select("a", "b")) ==
       Set((1L, 2L), (5L, 6L), (1L, 6L)))
     assert(ag.size == 9) // all 9 data edges survive
+    assertSizesExact(ag)
   }
 
   test("diamond with edge burnback: the spurious edge is culled (iAG)") {
     val ag = buildDiamond(edgeBurnback = true)
     assert(pairs(ag.edges(0).select("a", "b")) == Set((1L, 2L), (5L, 6L)))
     assert(ag.size == 8)
+    assertSizesExact(ag)
   }
 
   test("diamond: chord holds only embedding-consistent pairs") {
@@ -123,6 +135,21 @@ class AnswerGraphSpec extends SparkSpec {
       if (cols == Set("a", "d")) Set((1L, 4L), (5L, 8L))
       else Set((2L, 3L), (6L, 7L))
     assert(pairs(chord.select(cols.toSeq.sorted.head, cols.toSeq.sorted.last)) == expected)
+  }
+
+  test("reports from many partitions merge to the one-partition result") {
+    // More partitions than any predicate has rows: most partitions
+    // report nothing for a relation, the rest a single row each.
+    val triples = Fixtures.diamondData(spark).triples
+    for (edgeBurnback <- Seq(false, true)) {
+      val many = buildDiamond(edgeBurnback, TripleStore(triples.repartition(8)))
+      val one = buildDiamond(edgeBurnback, TripleStore(triples.coalesce(1)))
+      assert(many.nodeSizes == one.nodeSizes)
+      assert(many.edgeSizes == one.edgeSizes)
+      for (e <- Fixtures.diamondCq.edges)
+        assert(pairs(many.edges(e.id)) == pairs(one.edges(e.id)), s"edge ${e.id}")
+      assertSizesExact(many)
+    }
   }
 
   test("diamond: edge-burnback passes count toward rounds") {
@@ -139,6 +166,7 @@ class AnswerGraphSpec extends SparkSpec {
     val cat = Fixtures.yagoCatalog(spark, 0.01)
     for (cq <- Seq(YagoQueries.s2, YagoQueries.s5)) {
       val ag = AnswerGraphBuilder.build(ts, cq, Edgifier.plan(cq, cat))
+      assertSizesExact(ag)
       val emb = Defactorizer.embeddings(ag).cache()
       try {
         for (e <- cq.edges) {
@@ -157,6 +185,7 @@ class AnswerGraphSpec extends SparkSpec {
     val cq = YagoQueries.d8
     val chords = Triangulator.chords(cq, cat)
     val ag = AnswerGraphBuilder.build(ts, cq, Edgifier.plan(cq, cat), chords)
+    assertSizesExact(ag)
     val emb = Defactorizer.embeddings(ag).cache()
     try {
       for (e <- cq.edges) {
@@ -175,6 +204,7 @@ class AnswerGraphSpec extends SparkSpec {
     val chords = Triangulator.chords(cq, cat)
     val ag = AnswerGraphBuilder.build(ts, cq, Edgifier.plan(cq, cat), chords,
       edgeBurnback = true)
+    assertSizesExact(ag)
     val emb = Defactorizer.embeddings(ag).cache()
     try {
       for (e <- cq.edges) {
